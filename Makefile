@@ -7,16 +7,22 @@ SWEEP_FLAGS ?= -sizes 2..8 -batch 3
 # baseline uses the default.
 BULK_COUNT ?= 20000
 
-.PHONY: check vet build test race chaos chaos-tcp chaos-tcp-short bench-exp \
+.PHONY: check fmt vet build test race chaos chaos-tcp chaos-tcp-short bench-exp \
 	bench-obs bench-rekey bench-report bench-diff bench-wire bench-wire-diff \
 	bench-bulk bench-bulk-diff obs-smoke mon-smoke crit-smoke
 
-## check: the full local gate — vet, build, tests, the race suite on the
-## packages with concurrency-sensitive fast paths, a short chaos schedule
+## check: the full local gate — gofmt, vet, build, tests, the race suite on
+## the packages with concurrency-sensitive fast paths, a short chaos schedule
 ## replayed over real TCP sockets, the causal-order gate, and the
 ## regression gates against the checked-in baselines (rekey latency, the
 ## data-plane wire sweep, and bulk throughput).
-check: vet build test race chaos-tcp-short crit-smoke bench-diff bench-wire-diff bench-bulk-diff
+check: fmt vet build test race chaos-tcp-short crit-smoke bench-diff bench-wire-diff bench-bulk-diff
+
+## fmt: fails when any Go file in the tree (tracked, or new and not
+## ignored) is not gofmt-formatted.
+fmt:
+	@out=$$(gofmt -l $$(git ls-files --cached --others --exclude-standard '*.go')); \
+	if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
 vet:
 	$(GO) vet ./...
@@ -28,7 +34,8 @@ test:
 	$(GO) test ./...
 
 race:
-	$(GO) test -race ./internal/dh ./internal/cliques ./internal/crypt \
+	$(GO) test -race ./internal/dh ./internal/cliques ./internal/ckd \
+		./internal/kga/... ./internal/crypt \
 		./internal/spread ./internal/flush ./internal/core \
 		./internal/transport/... ./internal/obs/... ./cmd/sgcmon
 

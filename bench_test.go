@@ -10,7 +10,6 @@ package repro
 
 import (
 	"fmt"
-	"math/big"
 	"runtime"
 	"testing"
 	"time"
@@ -236,19 +235,18 @@ func BenchmarkExpBatchParallel(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	const n = 16
-	baseMap := make(map[string]*big.Int, n)
-	for i := 0; i < n; i++ {
-		baseMap[fmt.Sprintf("m%02d", i)] = g.PowG(g.MustShare(), nil, "")
-	}
 	exp := g.MustShare()
+	jobs := make([]dh.ExpJob, 16)
+	for i := range jobs {
+		jobs[i] = dh.ExpJob{Base: g.PowG(g.MustShare(), nil, ""), Exp: exp}
+	}
 	for _, w := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers%d", w), func(b *testing.B) {
 			prev := dh.SetBatchWorkers(w)
 			defer dh.SetBatchWorkers(prev)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				g.ExpBatch(baseMap, exp, nil, "")
+				g.ExpBatch(jobs, nil)
 			}
 		})
 	}

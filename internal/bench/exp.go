@@ -88,11 +88,11 @@ func MeasurePowG(g *dh.Group, iters int) PowGPoint {
 // over iters rounds. Scaling is reported relative to the first width in
 // workers (conventionally 1, the serial baseline).
 func MeasureExpBatch(g *dh.Group, n, iters int, workers []int) []BatchPoint {
-	bases := make(map[string]*big.Int, n)
-	for i := 0; i < n; i++ {
-		bases[fmt.Sprintf("m%02d", i)] = g.PowG(g.MustShare(), nil, "")
-	}
 	exp := g.MustShare()
+	jobs := make([]dh.ExpJob, n)
+	for i := range jobs {
+		jobs[i] = dh.ExpJob{Base: g.PowG(g.MustShare(), nil, ""), Exp: exp}
+	}
 
 	var out []BatchPoint
 	var baseline time.Duration
@@ -100,7 +100,7 @@ func MeasureExpBatch(g *dh.Group, n, iters int, workers []int) []BatchPoint {
 		prev := dh.SetBatchWorkers(w)
 		start := time.Now()
 		for i := 0; i < iters; i++ {
-			g.ExpBatch(bases, exp, nil, "")
+			g.ExpBatch(jobs, nil)
 		}
 		total := time.Since(start) / time.Duration(iters)
 		dh.SetBatchWorkers(prev)

@@ -72,9 +72,9 @@ func RekeySweep(proto string, sizes []int, batch int) (*SweepResult, error) {
 
 	const group = "sweep"
 	reg := obs.NewRegistry()
-	var scopes []*obs.Scope   // every client ever, departed ones included
-	var alive []*sweepClient  // clients currently in the group
-	var all []*sweepClient    // every client ever, for teardown
+	var scopes []*obs.Scope  // every client ever, departed ones included
+	var alive []*sweepClient // clients currently in the group
+	var all []*sweepClient   // every client ever, for teardown
 
 	connect := func(daemonIdx int, user string) (*sweepClient, error) {
 		d := placeDaemon(cluster, daemonIdx)

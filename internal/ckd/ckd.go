@@ -83,7 +83,7 @@ func init() {
 type Member struct {
 	name    string
 	g       *dh.Group
-	dir     kga.Directory
+	peers   *auth.Peers // peers' long-term keys, each value validated once
 	counter *dh.Counter
 
 	x   *big.Int // long-term private key
@@ -145,10 +145,10 @@ func NewMember(name string, g *dh.Group, dir kga.Directory, opts ...Option) (*Me
 		return nil, fmt.Errorf("ckd: long-term key: %w", err)
 	}
 	m := &Member{
-		name: name,
-		g:    g,
-		dir:  dir,
-		x:    x,
+		name:  name,
+		g:     g,
+		peers: auth.NewPeers(g, dir),
+		x:     x,
 	}
 	for _, o := range opts {
 		o(m)
@@ -197,6 +197,7 @@ func (m *Member) Dissolve() {
 	m.r1 = nil
 	m.eByMember = nil
 	m.e = nil
+	m.peers.Prune(nil)
 }
 
 func (m *Member) nextEpoch() uint64 {
@@ -313,7 +314,7 @@ func (m *Member) evAdd(ev kga.Event) (kga.Result, error) {
 // long-term pairwise key (one OpLongTermKey exponentiation, cached for the
 // round so response verification is free).
 func (m *Member) makeHello(to string, gr1 *big.Int, epoch uint64, members []string) (kga.Message, error) {
-	lt, err := m.pairwiseLT(to, dh.OpLongTermKey)
+	lt, err := m.peers.PairwiseKey(to, m.x, m.counter, dh.OpLongTermKey)
 	if err != nil {
 		return kga.Message{}, err
 	}
@@ -434,27 +435,24 @@ func (m *Member) distribute() (kga.Result, error) {
 	secret := m.g.PowG(ks, m.counter, dh.OpSessionKey)
 
 	members := m.pend.members
-	macs := make(map[string][]byte, len(members)-1)
+	others := members[1:] // the controller is the oldest member
 	eAll := m.effectiveE()
-	exps := make(map[string]*big.Int, len(members)-1)
-	for _, name := range members {
-		if name == m.name {
-			continue
-		}
+	jobs := make([]dh.ExpJob, len(others))
+	for i, name := range others {
 		e, ok := eAll[name]
 		if !ok {
 			return kga.Result{}, fmt.Errorf("%w: no pairwise key with %s", ErrBadState, name)
 		}
-		exps[name] = m.g.ReduceQ(e)
+		jobs[i] = dh.ExpJob{Base: secret, Exp: m.g.ReduceQ(e), Label: dh.OpKeyEncrypt}
 	}
 	// "Encryption of session key": Ks^(alpha^(r_1 r_i)) for each member —
-	// independent exponentiations, fanned across the batch worker pool.
-	entries := m.g.ExpBatchExps(secret, exps, m.counter, dh.OpKeyEncrypt)
-	for _, name := range members {
-		if name == m.name {
-			continue
-		}
-		macs[name] = auth.MACTag(eMACKey(eAll[name]), entryCanon(m.name, name, entries[name], m.pend.targetEpoch))
+	// independent exponentiations, run as one batch.
+	out := m.g.ExpBatch(jobs, m.counter)
+	entries := make(map[string]*big.Int, len(others))
+	macs := make(map[string][]byte, len(others))
+	for i, name := range others {
+		entries[name] = out[i]
+		macs[name] = auth.MACTag(eMACKey(eAll[name]), entryCanon(m.name, name, out[i], m.pend.targetEpoch))
 	}
 	body := keyDistBody{
 		Members:     slices.Clone(members),
@@ -476,6 +474,7 @@ func (m *Member) distribute() (kga.Result, error) {
 	}
 	m.eByMember = eAll
 	m.members = slices.Clone(members)
+	m.peers.Prune(m.members)
 	m.e = nil
 	m.key = &kga.GroupKey{Secret: secret, Epoch: epoch, Members: slices.Clone(members)}
 	m.setState(stIdle)

@@ -11,21 +11,9 @@ import (
 	"repro/internal/kga/auth"
 )
 
-// pairwiseLT derives the long-term pairwise Diffie-Hellman key K_1i with the
-// named peer, counting one exponentiation. CKD uses the value both as a MAC
-// key (via ltMACKey) and as a blinding exponent in round 2 of Table 5.
-func (m *Member) pairwiseLT(peer string, label string) (*big.Int, error) {
-	pub, err := m.dir.PubKey(peer)
-	if err != nil {
-		return nil, fmt.Errorf("pubkey of %s: %w", peer, err)
-	}
-	if err := m.g.CheckElement(pub); err != nil {
-		return nil, fmt.Errorf("pubkey of %s: %w", peer, err)
-	}
-	return m.g.Exp(pub, m.x, m.counter, label), nil
-}
-
-// ltMACKey derives a MAC key from a long-term pairwise key.
+// ltMACKey derives a MAC key from a long-term pairwise key K_1i. CKD uses
+// K_1i both as a MAC key (through ltMACKey) and as a blinding exponent in
+// round 2 of Table 5.
 func ltMACKey(k *big.Int) []byte {
 	return eMACKey(new(big.Int).Add(k, big.NewInt(1))) // domain-separate from entry keys
 }
@@ -69,7 +57,7 @@ func (m *Member) onCtrlHello(msg kga.Message) (kga.Result, error) {
 	}
 
 	// "Long term key computation with controller" (Table 2, new member).
-	lt, err := m.pairwiseLT(controller, dh.OpLongTermKey)
+	lt, err := m.peers.PairwiseKey(controller, m.x, m.counter, dh.OpLongTermKey)
 	if err != nil {
 		return kga.Result{}, err
 	}
@@ -210,6 +198,7 @@ func (m *Member) onKeyDist(msg kga.Message) (kga.Result, error) {
 	secret := m.g.Exp(entry, inv, m.counter, dh.OpKeyDecrypt)
 
 	m.members = slices.Clone(body.Members)
+	m.peers.Prune(m.members)
 	m.e = e
 	m.r1 = nil
 	m.eByMember = nil

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/dh"
 	"repro/internal/kga"
+	"repro/internal/kga/auth"
 )
 
 // HandleMessage feeds a protocol message to the engine and advances the
@@ -74,11 +75,11 @@ func (m *Member) onJoinSeed(msg kga.Message) (kga.Result, error) {
 	// Pairwise key with the controller: verifies the seed and later
 	// authenticates the controller's broadcast entry. This is the first
 	// of the joiner's n-1 long-term key computations (Table 2).
-	kc, err := pairwiseKey(m.g, m.x, m.dir, controller, m.counter, dh.OpLongTermKey)
+	kc, err := m.peers.PairwiseKey(controller, m.x, m.counter, dh.OpLongTermKey)
 	if err != nil {
 		return kga.Result{}, err
 	}
-	if !macOK(kc, body.MAC, joinSeedCanon(&body)) {
+	if !auth.MACOK(kc.Bytes(), body.MAC, joinSeedCanon(&body)) {
 		return kga.Result{}, ErrBadMAC
 	}
 
@@ -87,32 +88,35 @@ func (m *Member) onJoinSeed(msg kga.Message) (kga.Result, error) {
 		return kga.Result{}, err
 	}
 
-	// "Encryption of session key", n-1 times: fold our share into each
-	// member's partial. The entries are independent, so they fan out
-	// across the batch worker pool.
-	bases := make(map[string]*big.Int, len(old))
+	// The rest of the step is one batch: "encryption of session key"
+	// n-1 times (our share folded into each member's partial), the
+	// remaining n-2 long-term key computations, and the new session key,
+	// the seed raised to our share (Table 2, 1).
+	others := old[:len(old)-1]
+	jobs := make([]dh.ExpJob, 0, 2*len(old))
 	for _, name := range old {
-		bases[name] = body.Partials[name]
+		jobs = append(jobs, dh.ExpJob{Base: body.Partials[name], Exp: share, Label: dh.OpKeyEncrypt})
 	}
-	entries := m.g.ExpBatch(bases, share, m.counter, dh.OpKeyEncrypt)
+	lts, err := m.pairwiseJobs(others)
+	if err != nil {
+		return kga.Result{}, err
+	}
+	jobs = append(jobs, lts...)
+	jobs = append(jobs, dh.ExpJob{Base: body.PNew, Exp: share, Label: dh.OpSessionKey})
+	out := m.g.ExpBatch(jobs, m.counter)
+	entries := make(map[string]*big.Int, len(old)+1)
 	macs := make(map[string][]byte, len(old))
-	for _, name := range old {
-		var k []byte
-		if name == controller {
-			k = kc
-		} else {
-			// The remaining n-2 long-term key computations.
-			k, err = pairwiseKey(m.g, m.x, m.dir, name, m.counter, dh.OpLongTermKey)
-			if err != nil {
-				return kga.Result{}, err
-			}
+	for i, name := range old {
+		k := kc
+		if name != controller {
+			k = out[len(old)+i]
 		}
-		macs[name] = macTag(k, entryCanon(m.name, name, entries[name], body.TargetEpoch))
+		entries[name] = out[i]
+		macs[name] = auth.MACTag(k.Bytes(), entryCanon(m.name, name, out[i], body.TargetEpoch))
 	}
 	// Our own partial is the seed value (it excludes our share).
 	entries[m.name] = body.PNew
-	// New session key: the seed raised to our share (Table 2, 1).
-	secret := m.g.Exp(body.PNew, share, m.counter, dh.OpSessionKey)
+	secret := out[len(out)-1]
 
 	bcast := joinBcastBody{
 		Members:     slices.Clone(m.pend.members),
@@ -166,30 +170,34 @@ func (m *Member) onJoinBcast(msg kga.Message) (kga.Result, error) {
 		}
 	}
 
-	// One long-term key computation to authenticate our entry as coming
-	// from the joiner (the old controller reuses the key it derived when
-	// building the seed).
-	kj := m.pend.ltJoiner
-	if kj == nil {
-		var err error
-		kj, err = pairwiseKey(m.g, m.x, m.dir, joiner, m.counter, dh.OpLongTermKey)
-		if err != nil {
-			return kga.Result{}, err
-		}
-	}
-	ownMAC := body.EntryMACs[m.name]
-	if !macOK(kj, ownMAC, entryCanon(joiner, m.name, entry, body.TargetEpoch)) {
-		return kga.Result{}, ErrBadMAC
-	}
-
 	// If we were the old controller we refreshed our share in step 1 and
 	// commit the refreshed value now.
 	share := m.share
 	if m.pend.newShare != nil {
 		share = m.pend.newShare
 	}
-	secret := m.g.Exp(entry, share, m.counter, dh.OpSessionKey)
-	m.commit(body.Members, share, body.Entries, secret, joiner, ownMAC)
+	// The session key and one long-term key computation to authenticate
+	// our entry as coming from the joiner run as one batch (the old
+	// controller reuses the key it derived when building the seed); the
+	// MAC is checked before the key is committed.
+	jobs := []dh.ExpJob{{Base: entry, Exp: share, Label: dh.OpSessionKey}}
+	kj := m.pend.ltJoiner
+	if kj == nil {
+		lt, err := m.peers.PairwiseJob(joiner, m.x, dh.OpLongTermKey)
+		if err != nil {
+			return kga.Result{}, err
+		}
+		jobs = append(jobs, lt)
+	}
+	out := m.g.ExpBatch(jobs, m.counter)
+	if kj == nil {
+		kj = out[1].Bytes()
+	}
+	ownMAC := body.EntryMACs[m.name]
+	if !auth.MACOK(kj, ownMAC, entryCanon(joiner, m.name, entry, body.TargetEpoch)) {
+		return kga.Result{}, ErrBadMAC
+	}
+	m.commit(body.Members, share, body.Entries, out[0], joiner, ownMAC)
 	return kga.Result{Key: m.key}, nil
 }
 
@@ -213,7 +221,7 @@ func (m *Member) onLeaveBcast(msg kga.Message) (kga.Result, error) {
 	if msg.From != controller {
 		return kga.Result{}, fmt.Errorf("%w: leave broadcast from %s, controller is %s", ErrBadMAC, msg.From, controller)
 	}
-	if !macOK(groupMACKey(m.key.Secret), body.MAC, leaveCanon(&body)) {
+	if !auth.MACOK(groupMACKey(m.key.Secret), body.MAC, leaveCanon(&body)) {
 		return kga.Result{}, ErrBadMAC
 	}
 	entry, ok := body.Entries[m.name]
@@ -263,11 +271,11 @@ func (m *Member) onMergeChain(msg kga.Message) (kga.Result, error) {
 	if msg.From != expectFrom {
 		return kga.Result{}, fmt.Errorf("%w: chain hop from %s, expected %s", ErrBadMAC, msg.From, expectFrom)
 	}
-	kp, err := pairwiseKey(m.g, m.x, m.dir, expectFrom, m.counter, dh.OpLongTermKey)
+	kp, err := m.peers.PairwiseKey(expectFrom, m.x, m.counter, dh.OpLongTermKey)
 	if err != nil {
 		return kga.Result{}, err
 	}
-	if !macOK(kp, body.MAC, mergeChainCanon(&body)) {
+	if !auth.MACOK(kp.Bytes(), body.MAC, mergeChainCanon(&body)) {
 		return kga.Result{}, ErrBadMAC
 	}
 
@@ -279,13 +287,15 @@ func (m *Member) onMergeChain(msg kga.Message) (kga.Result, error) {
 	m.pend.targetEpoch = body.TargetEpoch
 
 	if m.name != body.Merged[len(body.Merged)-1] {
-		// Intermediate member: fold in our share and forward.
-		u := m.g.Exp(body.U, share, m.counter, dh.OpKeyEncrypt)
+		// Intermediate member: fold in our share and forward, in one
+		// batch with the pairwise key that authenticates the next hop.
 		next := body.Merged[pos+1]
-		kn, err := pairwiseKey(m.g, m.x, m.dir, next, m.counter, dh.OpLongTermKey)
+		lt, err := m.peers.PairwiseJob(next, m.x, dh.OpLongTermKey)
 		if err != nil {
 			return kga.Result{}, err
 		}
+		out := m.g.ExpBatch([]dh.ExpJob{{Base: body.U, Exp: share, Label: dh.OpKeyEncrypt}, lt}, m.counter)
+		u, kn := out[0], out[1].Bytes()
 		fwd := mergeChainBody{
 			Members:     body.Members,
 			Merged:      body.Merged,
@@ -294,7 +304,7 @@ func (m *Member) onMergeChain(msg kga.Message) (kga.Result, error) {
 			SenderPub:   m.pub,
 			TargetEpoch: body.TargetEpoch,
 		}
-		fwd.MAC = macTag(kn, mergeChainCanon(&fwd))
+		fwd.MAC = auth.MACTag(kn, mergeChainCanon(&fwd))
 		enc, err := m.encBody(MsgMergeChain, &fwd)
 		if err != nil {
 			return kga.Result{}, err
@@ -320,15 +330,14 @@ func (m *Member) onMergeChain(msg kga.Message) (kga.Result, error) {
 		MACs:        make(map[string][]byte, len(body.Members)-1),
 	}
 	base := mergeFactorReqCanon(&req)
-	for _, name := range body.Members {
-		if name == m.name {
-			continue
-		}
-		k, err := pairwiseKey(m.g, m.x, m.dir, name, m.counter, dh.OpLongTermKey)
-		if err != nil {
-			return kga.Result{}, err
-		}
-		req.MACs[name] = macTag(k, canon(name), base)
+	others := body.Members[:len(body.Members)-1] // we are last in the list
+	lts, err := m.pairwiseJobs(others)
+	if err != nil {
+		return kga.Result{}, err
+	}
+	keys := m.g.ExpBatch(lts, m.counter)
+	for i, name := range others {
+		req.MACs[name] = auth.MACTag(keys[i].Bytes(), auth.Canon(name), base)
 	}
 	enc, err := m.encBody(MsgMergeFactorReq, &req)
 	if err != nil {
@@ -340,7 +349,7 @@ func (m *Member) onMergeChain(msg kga.Message) (kga.Result, error) {
 }
 
 func mergeFactorReqCanon(b *mergeFactorReqBody) []byte {
-	return canon("merge-factor-req", b.Members, b.Merged, b.U, b.SenderPub, b.TargetEpoch)
+	return auth.Canon("merge-factor-req", b.Members, b.Merged, b.U, b.SenderPub, b.TargetEpoch)
 }
 
 // onMergeFactorReq: every member except the last merging one factors its
@@ -367,14 +376,6 @@ func (m *Member) onMergeFactorReq(msg kga.Message) (kga.Result, error) {
 	if err := m.g.CheckElement(body.U); err != nil {
 		return kga.Result{}, fmt.Errorf("factor base: %w", err)
 	}
-	kl, err := pairwiseKey(m.g, m.x, m.dir, last, m.counter, dh.OpLongTermKey)
-	if err != nil {
-		return kga.Result{}, err
-	}
-	if !macOK(kl, body.MACs[m.name], canon(m.name), mergeFactorReqCanon(&body)) {
-		return kga.Result{}, ErrBadMAC
-	}
-
 	// Our effective share for the new group: base-group members keep
 	// their committed share (the old controller its refreshed one);
 	// merging members use the share they generated on the chain.
@@ -386,7 +387,18 @@ func (m *Member) onMergeFactorReq(msg kga.Message) (kga.Result, error) {
 	if err != nil {
 		return kga.Result{}, err
 	}
-	w := m.g.Exp(body.U, inv, m.counter, dh.OpShareRemove)
+	// The long-term key that authenticates the request and the factored
+	// partial run as one batch; the MAC is checked before anything is
+	// sent.
+	lt, err := m.peers.PairwiseJob(last, m.x, dh.OpLongTermKey)
+	if err != nil {
+		return kga.Result{}, err
+	}
+	out := m.g.ExpBatch([]dh.ExpJob{lt, {Base: body.U, Exp: inv, Label: dh.OpShareRemove}}, m.counter)
+	kl, w := out[0].Bytes(), out[1]
+	if !auth.MACOK(kl, body.MACs[m.name], auth.Canon(m.name), mergeFactorReqCanon(&body)) {
+		return kga.Result{}, ErrBadMAC
+	}
 
 	m.pend.targetEpoch = body.TargetEpoch
 	m.setState(stAwaitMergeBcast)
@@ -396,7 +408,7 @@ func (m *Member) onMergeFactorReq(msg kga.Message) (kga.Result, error) {
 		SenderPub:   m.pub,
 		TargetEpoch: body.TargetEpoch,
 	}
-	resp.MAC = macTag(kl, mergeFactorRespCanon(m.name, &resp))
+	resp.MAC = auth.MACTag(kl, mergeFactorRespCanon(m.name, &resp))
 	enc, err := m.encBody(MsgMergeFactorResp, &resp)
 	if err != nil {
 		return kga.Result{}, err
@@ -407,7 +419,7 @@ func (m *Member) onMergeFactorReq(msg kga.Message) (kga.Result, error) {
 }
 
 func mergeFactorRespCanon(from string, b *mergeFactorRespBody) []byte {
-	return canon("merge-factor-resp", from, b.W, b.SenderPub, b.TargetEpoch)
+	return auth.Canon("merge-factor-resp", from, b.W, b.SenderPub, b.TargetEpoch)
 }
 
 // onMergeFactorResp: the last merging member collects factored partials;
@@ -430,11 +442,11 @@ func (m *Member) onMergeFactorResp(msg kga.Message) (kga.Result, error) {
 	if err := m.g.CheckElement(body.W); err != nil {
 		return kga.Result{}, fmt.Errorf("factored partial: %w", err)
 	}
-	kp, err := pairwiseKey(m.g, m.x, m.dir, msg.From, m.counter, dh.OpLongTermKey)
+	kp, err := m.peers.PairwiseKey(msg.From, m.x, m.counter, dh.OpLongTermKey)
 	if err != nil {
 		return kga.Result{}, err
 	}
-	if !macOK(kp, body.MAC, mergeFactorRespCanon(msg.From, &body)) {
+	if !auth.MACOK(kp.Bytes(), body.MAC, mergeFactorRespCanon(msg.From, &body)) {
 		return kga.Result{}, ErrBadMAC
 	}
 	m.pend.factors[msg.From] = body.W
@@ -442,32 +454,38 @@ func (m *Member) onMergeFactorResp(msg kga.Message) (kga.Result, error) {
 		return kga.Result{}, nil
 	}
 
-	// All responses in: build the final partial set. The factored
-	// partials are independent, so the fold fans out across the batch
-	// worker pool.
+	// All responses in: build the final partial set. The n-1 folds, the
+	// session key and the n-1 long-term keys that authenticate the
+	// entries are independent and run as one batch.
 	share := m.pend.newShare
-	macs := make(map[string][]byte, len(m.pend.members)-1)
-	entries := m.g.ExpBatch(m.pend.factors, share, m.counter, dh.OpKeyEncrypt)
+	others := m.pend.members[:len(m.pend.members)-1] // we are last in the list
+	jobs := make([]dh.ExpJob, 0, 2*len(others)+1)
+	for _, name := range others {
+		jobs = append(jobs, dh.ExpJob{Base: m.pend.factors[name], Exp: share, Label: dh.OpKeyEncrypt})
+	}
+	lts, err := m.pairwiseJobs(others)
+	if err != nil {
+		return kga.Result{}, err
+	}
+	jobs = append(jobs, lts...)
+	jobs = append(jobs, dh.ExpJob{Base: m.pend.u, Exp: share, Label: dh.OpSessionKey})
+	out := m.g.ExpBatch(jobs, m.counter)
+	entries := make(map[string]*big.Int, len(m.pend.members))
+	macs := make(map[string][]byte, len(others))
+	for i, name := range others {
+		entries[name] = out[i]
+		macs[name] = auth.MACTag(out[len(others)+i].Bytes(), entryCanon(m.name, name, out[i], m.pend.targetEpoch))
+	}
 	entries[m.name] = m.pend.u
-	secret := m.g.Exp(m.pend.u, share, m.counter, dh.OpSessionKey)
+	secret := out[len(out)-1]
 
 	bcast := mergeBcastBody{
 		Members:     slices.Clone(m.pend.members),
 		Entries:     entries,
+		EntryMACs:   macs,
 		SenderPub:   m.pub,
 		TargetEpoch: m.pend.targetEpoch,
 	}
-	for _, name := range m.pend.members {
-		if name == m.name {
-			continue
-		}
-		k, err := pairwiseKey(m.g, m.x, m.dir, name, m.counter, dh.OpLongTermKey)
-		if err != nil {
-			return kga.Result{}, err
-		}
-		macs[name] = macTag(k, entryCanon(m.name, name, entries[name], m.pend.targetEpoch))
-	}
-	bcast.EntryMACs = macs
 	enc, err := m.encBody(MsgMergeBcast, &bcast)
 	if err != nil {
 		return kga.Result{}, err
@@ -512,22 +530,38 @@ func (m *Member) onMergeBcast(msg kga.Message) (kga.Result, error) {
 			return kga.Result{}, fmt.Errorf("entry for %s: %w", name, err)
 		}
 	}
-	kl, err := pairwiseKey(m.g, m.x, m.dir, last, m.counter, dh.OpLongTermKey)
-	if err != nil {
-		return kga.Result{}, err
-	}
-	ownMAC := body.EntryMACs[m.name]
-	if !macOK(kl, ownMAC, entryCanon(last, m.name, entry, body.TargetEpoch)) {
-		return kga.Result{}, ErrBadMAC
-	}
-
 	share := m.share
 	if m.pend.newShare != nil {
 		share = m.pend.newShare
 	}
-	secret := m.g.Exp(entry, share, m.counter, dh.OpSessionKey)
+	// The long-term key that authenticates our entry and the session key
+	// run as one batch; the MAC is checked before the key is committed.
+	lt, err := m.peers.PairwiseJob(last, m.x, dh.OpLongTermKey)
+	if err != nil {
+		return kga.Result{}, err
+	}
+	out := m.g.ExpBatch([]dh.ExpJob{lt, {Base: entry, Exp: share, Label: dh.OpSessionKey}}, m.counter)
+	ownMAC := body.EntryMACs[m.name]
+	if !auth.MACOK(out[0].Bytes(), ownMAC, entryCanon(last, m.name, entry, body.TargetEpoch)) {
+		return kga.Result{}, ErrBadMAC
+	}
+	secret := out[1]
 	// Merging members adopt the base group's epoch numbering.
 	m.key = &kga.GroupKey{Secret: secret, Epoch: body.TargetEpoch - 1}
 	m.commit(body.Members, share, body.Entries, secret, last, ownMAC)
 	return kga.Result{Key: m.key}, nil
+}
+
+// pairwiseJobs returns the batch jobs deriving the long-term pairwise keys
+// with peers, in peers' order.
+func (m *Member) pairwiseJobs(peers []string) ([]dh.ExpJob, error) {
+	jobs := make([]dh.ExpJob, len(peers))
+	for i, name := range peers {
+		lt, err := m.peers.PairwiseJob(name, m.x, dh.OpLongTermKey)
+		if err != nil {
+			return nil, err
+		}
+		jobs[i] = lt
+	}
+	return jobs, nil
 }

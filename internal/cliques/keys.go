@@ -18,43 +18,9 @@
 package cliques
 
 import (
-	"crypto/hmac"
 	"crypto/sha256"
-	"fmt"
 	"math/big"
-
-	"repro/internal/dh"
-	"repro/internal/kga"
 )
-
-// pairwiseKey derives the long-term pairwise key between us (private x) and
-// the named peer, counting one exponentiation under label. The result keys
-// an HMAC; it is the K_bar of A-GDH-style member authentication.
-func pairwiseKey(g *dh.Group, x *big.Int, dir kga.Directory, peer string, c *dh.Counter, label string) ([]byte, error) {
-	pub, err := dir.PubKey(peer)
-	if err != nil {
-		return nil, fmt.Errorf("pubkey of %s: %w", peer, err)
-	}
-	if err := g.CheckElement(pub); err != nil {
-		return nil, fmt.Errorf("pubkey of %s: %w", peer, err)
-	}
-	k := g.Exp(pub, x, c, label)
-	return k.Bytes(), nil
-}
-
-// macTag computes HMAC-SHA256 over parts under key.
-func macTag(key []byte, parts ...[]byte) []byte {
-	m := hmac.New(sha256.New, key)
-	for _, p := range parts {
-		m.Write(p)
-	}
-	return m.Sum(nil)
-}
-
-// macOK verifies tag over parts under key in constant time.
-func macOK(key []byte, tag []byte, parts ...[]byte) bool {
-	return hmac.Equal(tag, macTag(key, parts...))
-}
 
 // groupMACKey derives the broadcast-authentication key from a group secret.
 // Leave and refresh broadcasts are MACed under the previous group secret:

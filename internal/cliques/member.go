@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/dh"
 	"repro/internal/kga"
+	"repro/internal/kga/auth"
 )
 
 // Protocol state machine states.
@@ -44,7 +45,7 @@ var (
 type Member struct {
 	name    string
 	g       *dh.Group
-	dir     kga.Directory
+	peers   *auth.Peers // peers' long-term keys, each value validated once
 	counter *dh.Counter
 
 	x   *big.Int // long-term private key
@@ -110,10 +111,10 @@ func NewMember(name string, g *dh.Group, dir kga.Directory, opts ...Option) (*Me
 		return nil, fmt.Errorf("cliques: long-term key: %w", err)
 	}
 	m := &Member{
-		name: name,
-		g:    g,
-		dir:  dir,
-		x:    x,
+		name:  name,
+		g:     g,
+		peers: auth.NewPeers(g, dir),
+		x:     x,
 	}
 	for _, o := range opts {
 		o(m)
@@ -185,6 +186,7 @@ func (m *Member) Dissolve() {
 	m.key = nil
 	m.prevController = ""
 	m.ownEntryMAC = nil
+	m.peers.Prune(nil)
 }
 
 func (m *Member) nextEpoch() uint64 {
@@ -286,37 +288,37 @@ func (m *Member) evJoin(ev kga.Event) (kga.Result, error) {
 	}
 
 	// Controller (JOIN step 1): refresh our share, fold the refresh into
-	// every other member's partial, and hand the set to the joiner.
+	// every other member's partial, and hand the set to the joiner. One
+	// batch holds the n-2 refreshes (our own partial excludes our share,
+	// so the refresh does not touch it), the joiner's seed partial — the
+	// refreshed old group secret g^(N_1...N_(n-1)), for a controller
+	// total of n-1 "update key share" (Table 2) — and the pairwise
+	// long-term key with the joiner that authenticates the seed ("long
+	// term key computation with new member", 1).
 	f, err := m.g.NewShare(rand.Reader)
 	if err != nil {
 		return kga.Result{}, err
 	}
 	newShare := mulQ(m.g, m.share, f)
 	m.pend.newShare = newShare
-
-	// The refresh touches every partial but our own; the n-2
-	// exponentiations are independent and fan out across the batch pool.
-	refresh := make(map[string]*big.Int, len(old)-1)
-	for _, name := range old {
-		if name != m.name {
-			refresh[name] = m.partials[name]
-		}
-	}
-	partials := m.g.ExpBatch(refresh, f, m.counter, dh.OpShareUpdate)
-	// Our own partial excludes our share; the refresh does not touch it.
-	partials[m.name] = new(big.Int).Set(m.partials[m.name])
-	// The joiner's seed partial is the refreshed old group secret
-	// g^(N_1...N_(n-1)) — one more "update key share" exponentiation,
-	// for a controller total of n-1 (Table 2).
-	pNew := m.g.Exp(m.partials[m.name], newShare, m.counter, dh.OpShareUpdate)
-
-	// Authenticate the seed under the pairwise long-term key with the
-	// joiner (Table 2: controller, "long term key computation with new
-	// member", 1).
-	kc, err := pairwiseKey(m.g, m.x, m.dir, joiner, m.counter, dh.OpLongTermKey)
+	lt, err := m.peers.PairwiseJob(joiner, m.x, dh.OpLongTermKey)
 	if err != nil {
 		return kga.Result{}, err
 	}
+	others := old[:len(old)-1]
+	jobs := make([]dh.ExpJob, 0, len(old)+1)
+	for _, name := range others {
+		jobs = append(jobs, dh.ExpJob{Base: m.partials[name], Exp: f, Label: dh.OpShareUpdate})
+	}
+	jobs = append(jobs, dh.ExpJob{Base: m.partials[m.name], Exp: newShare, Label: dh.OpShareUpdate}, lt)
+	out := m.g.ExpBatch(jobs, m.counter)
+	partials := make(map[string]*big.Int, len(old))
+	for i, name := range others {
+		partials[name] = out[i]
+	}
+	partials[m.name] = new(big.Int).Set(m.partials[m.name])
+	pNew := out[len(others)]
+	kc := out[len(others)+1].Bytes()
 	m.pend.ltJoiner = kc
 	body := joinSeedBody{
 		OldMembers:  slices.Clone(old),
@@ -326,7 +328,7 @@ func (m *Member) evJoin(ev kga.Event) (kga.Result, error) {
 		SenderPub:   m.pub,
 		TargetEpoch: m.pend.targetEpoch,
 	}
-	body.MAC = macTag(kc, joinSeedCanon(&body))
+	body.MAC = auth.MACTag(kc, joinSeedCanon(&body))
 	enc, err := m.encBody(MsgJoinSeed, &body)
 	if err != nil {
 		return kga.Result{}, err
@@ -337,7 +339,7 @@ func (m *Member) evJoin(ev kga.Event) (kga.Result, error) {
 }
 
 func joinSeedCanon(b *joinSeedBody) []byte {
-	return canon("join-seed", b.OldMembers, b.Joiner, b.Partials, b.PNew, b.SenderPub, b.TargetEpoch)
+	return auth.Canon("join-seed", b.OldMembers, b.Joiner, b.Partials, b.PNew, b.SenderPub, b.TargetEpoch)
 }
 
 func (m *Member) evLeave(ev kga.Event) (kga.Result, error) {
@@ -381,39 +383,43 @@ func (m *Member) startRekey(survivors, left []string, refresh bool) (kga.Result,
 	// current partial set was broadcast by another member (e.g. the
 	// departed controller), re-derive the pairwise long-term key with
 	// that member and re-verify our cached entry's MAC; when we broadcast
-	// it ourselves, revalidate our long-term key pair instead.
+	// it ourselves, revalidate our long-term key pair instead (a nil
+	// base is the generator).
+	audit := dh.ExpJob{Exp: m.x, Label: dh.OpShareRemove}
 	if m.prevController != m.name {
-		kPrev, err := pairwiseKey(m.g, m.x, m.dir, m.prevController, m.counter, dh.OpShareRemove)
-		if err != nil {
+		var err error
+		if audit, err = m.peers.PairwiseJob(m.prevController, m.x, dh.OpShareRemove); err != nil {
 			return kga.Result{}, err
 		}
-		if m.ownEntryMAC != nil && !macOK(kPrev, m.ownEntryMAC, m.ownEntryCanon(m.prevController)) {
-			return kga.Result{}, ErrStateAudit
-		}
-	} else {
-		if m.g.PowG(m.x, m.counter, dh.OpShareRemove).Cmp(m.pub) != 0 {
-			return kga.Result{}, ErrStateAudit
-		}
 	}
-
 	f, err := m.g.NewShare(rand.Reader)
 	if err != nil {
 		return kga.Result{}, err
 	}
 	newShare := mulQ(m.g, m.share, f)
 
-	// Fold the fresh factor into every survivor's partial but our own —
-	// the exponentiations are independent and fan out across the batch
-	// pool.
-	toFold := make(map[string]*big.Int, len(survivors)-1)
-	for _, name := range survivors {
-		if name != m.name {
-			toFold[name] = m.partials[name]
-		}
+	// The audit, the new session key and the fresh factor folded into
+	// every survivor's partial but our own run as one batch; the audit
+	// verdict is checked before anything is committed or sent.
+	others := survivors[:len(survivors)-1]
+	jobs := []dh.ExpJob{audit, {Base: m.partials[m.name], Exp: newShare, Label: dh.OpSessionKey}}
+	for _, name := range others {
+		jobs = append(jobs, dh.ExpJob{Base: m.partials[name], Exp: f, Label: dh.OpShareUpdate})
 	}
-	entries := m.g.ExpBatch(toFold, f, m.counter, dh.OpShareUpdate)
+	out := m.g.ExpBatch(jobs, m.counter)
+	if m.prevController != m.name {
+		if m.ownEntryMAC != nil && !auth.MACOK(out[0].Bytes(), m.ownEntryMAC, m.ownEntryCanon(m.prevController)) {
+			return kga.Result{}, ErrStateAudit
+		}
+	} else if out[0].Cmp(m.pub) != 0 {
+		return kga.Result{}, ErrStateAudit
+	}
+	secret := out[1]
+	entries := make(map[string]*big.Int, len(survivors))
+	for i, name := range others {
+		entries[name] = out[2+i]
+	}
 	entries[m.name] = new(big.Int).Set(m.partials[m.name])
-	secret := m.g.Exp(m.partials[m.name], newShare, m.counter, dh.OpSessionKey)
 
 	body := leaveBcastBody{
 		Members:     slices.Clone(survivors),
@@ -422,7 +428,7 @@ func (m *Member) startRekey(survivors, left []string, refresh bool) (kga.Result,
 		Entries:     entries,
 		TargetEpoch: m.pend.targetEpoch,
 	}
-	body.MAC = macTag(groupMACKey(m.key.Secret), leaveCanon(&body))
+	body.MAC = auth.MACTag(groupMACKey(m.key.Secret), leaveCanon(&body))
 	enc, err := m.encBody(MsgLeaveBcast, &body)
 	if err != nil {
 		return kga.Result{}, err
@@ -441,7 +447,7 @@ func leaveCanon(b *leaveBcastBody) []byte {
 	if b.Refresh {
 		refresh = 1
 	}
-	return canon("leave-bcast", b.Members, b.Left, refresh, b.Entries, b.TargetEpoch)
+	return auth.Canon("leave-bcast", b.Members, b.Left, refresh, b.Entries, b.TargetEpoch)
 }
 
 func (m *Member) evMerge(ev kga.Event) (kga.Result, error) {
@@ -491,13 +497,13 @@ func (m *Member) evMerge(ev kga.Event) (kga.Result, error) {
 	}
 	newShare := mulQ(m.g, m.share, f)
 	m.pend.newShare = newShare
-	u := m.g.Exp(m.partials[m.name], newShare, m.counter, dh.OpShareUpdate)
-
 	first := ev.Joined[0]
-	kc, err := pairwiseKey(m.g, m.x, m.dir, first, m.counter, dh.OpLongTermKey)
+	lt, err := m.peers.PairwiseJob(first, m.x, dh.OpLongTermKey)
 	if err != nil {
 		return kga.Result{}, err
 	}
+	out := m.g.ExpBatch([]dh.ExpJob{{Base: m.partials[m.name], Exp: newShare, Label: dh.OpShareUpdate}, lt}, m.counter)
+	u, kc := out[0], out[1].Bytes()
 	body := mergeChainBody{
 		Members:     slices.Clone(ev.Members),
 		Merged:      slices.Clone(ev.Joined),
@@ -506,7 +512,7 @@ func (m *Member) evMerge(ev kga.Event) (kga.Result, error) {
 		SenderPub:   m.pub,
 		TargetEpoch: m.pend.targetEpoch,
 	}
-	body.MAC = macTag(kc, mergeChainCanon(&body))
+	body.MAC = auth.MACTag(kc, mergeChainCanon(&body))
 	enc, err := m.encBody(MsgMergeChain, &body)
 	if err != nil {
 		return kga.Result{}, err
@@ -517,7 +523,7 @@ func (m *Member) evMerge(ev kga.Event) (kga.Result, error) {
 }
 
 func mergeChainCanon(b *mergeChainBody) []byte {
-	return canon("merge-chain", b.Members, b.Merged, b.Pos, b.U, b.SenderPub, b.TargetEpoch)
+	return auth.Canon("merge-chain", b.Members, b.Merged, b.Pos, b.U, b.SenderPub, b.TargetEpoch)
 }
 
 // requireGroup checks that the committed context matches the expected old
@@ -570,6 +576,7 @@ func (m *Member) commit(members []string, share *big.Int, partials map[string]*b
 	m.key = &kga.GroupKey{Secret: secret, Epoch: epoch, Members: slices.Clone(members)}
 	m.prevController = broadcaster
 	m.ownEntryMAC = ownMAC
+	m.peers.Prune(members)
 	m.setState(stIdle)
 	m.pend = nil
 }
@@ -581,7 +588,7 @@ func (m *Member) ownEntryCanon(broadcaster string) []byte {
 }
 
 func entryCanon(broadcaster, member string, entry *big.Int, epoch uint64) []byte {
-	return canon("entry-v1", broadcaster, member, entry, epoch)
+	return auth.Canon("entry-v1", broadcaster, member, entry, epoch)
 }
 
 func mulQ(g *dh.Group, a, b *big.Int) *big.Int {

@@ -2,11 +2,9 @@ package cliques
 
 import (
 	"bytes"
-	"encoding/binary"
 	"encoding/gob"
 	"fmt"
 	"math/big"
-	"sort"
 
 	"repro/internal/wirecodec"
 )
@@ -104,7 +102,7 @@ type mergeBcastBody struct {
 // encodeBody writes a protocol body with the binary wire codec; decodeBody
 // keeps a gob fallback for frames from older builds. The body type is
 // implied by kga.Message.Type, so no tag travels. MACs are computed over
-// canon(), never over encodings, so the codec swap cannot break
+// auth.Canon, never over encodings, so the codec swap cannot break
 // authentication.
 func encodeBody(v any) ([]byte, error) {
 	return encodeBodyExt(v, nil)
@@ -252,62 +250,4 @@ func decodeBodyGob(data []byte, v any) error {
 		return fmt.Errorf("decode cliques body: %w", err)
 	}
 	return nil
-}
-
-// canon builds a deterministic byte string from heterogeneous fields for
-// MAC computation. Gob map encoding is nondeterministic, so MACs are never
-// computed over raw encodings.
-func canon(parts ...any) []byte {
-	var buf bytes.Buffer
-	writeBytes := func(b []byte) {
-		var n [4]byte
-		binary.BigEndian.PutUint32(n[:], uint32(len(b)))
-		buf.Write(n[:])
-		buf.Write(b)
-	}
-	for _, p := range parts {
-		switch v := p.(type) {
-		case string:
-			writeBytes([]byte(v))
-		case []byte:
-			writeBytes(v)
-		case uint64:
-			var n [8]byte
-			binary.BigEndian.PutUint64(n[:], v)
-			buf.Write(n[:])
-		case int:
-			var n [8]byte
-			binary.BigEndian.PutUint64(n[:], uint64(v))
-			buf.Write(n[:])
-		case *big.Int:
-			if v == nil {
-				writeBytes(nil)
-			} else {
-				writeBytes(v.Bytes())
-			}
-		case []string:
-			var n [4]byte
-			binary.BigEndian.PutUint32(n[:], uint32(len(v)))
-			buf.Write(n[:])
-			for _, s := range v {
-				writeBytes([]byte(s))
-			}
-		case map[string]*big.Int:
-			keys := make([]string, 0, len(v))
-			for k := range v {
-				keys = append(keys, k)
-			}
-			sort.Strings(keys)
-			var n [4]byte
-			binary.BigEndian.PutUint32(n[:], uint32(len(keys)))
-			buf.Write(n[:])
-			for _, k := range keys {
-				writeBytes([]byte(k))
-				writeBytes(v[k].Bytes())
-			}
-		default:
-			panic(fmt.Sprintf("cliques: canon: unsupported type %T", p))
-		}
-	}
-	return buf.Bytes()
 }

@@ -175,7 +175,6 @@ func (s *sentFrames) evictLocked() {
 	}
 }
 
-
 // sealState is one group's sealing snapshot: the installed suite pinned to
 // its key epoch. Immutable after publication — rekeys publish a new one.
 // firstSend latches the once-per-epoch first-send trace event.

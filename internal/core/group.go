@@ -172,9 +172,13 @@ func (g *groupCtx) onAnnounce(from string, ann *announceBody) {
 	if ann.Proto != g.protoName {
 		g.conn.warn(g.name, fmt.Errorf("member %s uses key agreement %q, group uses %q", from, ann.Proto, g.protoName))
 	}
-	if err := g.conn.dhGroup.CheckElement(ann.Pub); err != nil {
-		g.conn.warn(g.name, fmt.Errorf("announce from %s: %w", from, err))
-		return
+	// A long-term key re-announced unchanged each view was validated when
+	// first stored; only a new or changed value pays for the check.
+	if old := g.pubkeys[from]; ann.Pub == nil || old == nil || old.Cmp(ann.Pub) != 0 {
+		if err := g.conn.dhGroup.CheckElement(ann.Pub); err != nil {
+			g.conn.warn(g.name, fmt.Errorf("announce from %s: %w", from, err))
+			return
+		}
 	}
 	g.anns[from] = ann
 	g.pubkeys[from] = ann.Pub

@@ -7,23 +7,24 @@ import (
 	"sync/atomic"
 )
 
-// The ExpBatch family fans independent modular exponentiations across a
-// worker pool. The per-member loops of both key-agreement protocols — the
-// Cliques controller refreshing n-1 partials, the joiner folding its share
-// into n-1 entries, the CKD controller blinding the session key under n-1
-// pairwise exponents — are embarrassingly parallel: same exponent (or same
-// base), no data dependencies. Batching them turns the paper's O(n) serial
-// exponentiation latency into O(n / cores) without touching the protocol:
-// results are bit-identical to the serial loop and every exponentiation
-// still records exactly one Counter.Inc under the same label, so the
-// Table 2-4 accounting is preserved (Counter is goroutine-safe).
+// ExpBatch fans independent modular exponentiations across a worker pool.
+// Each step of both key-agreement protocols — a Cliques controller
+// refreshing n-1 partials and seeding a joiner, a joiner folding its share
+// into n-1 entries next to its pairwise keys and session key, a CKD
+// controller blinding the session key under n-1 pairwise exponents — is a
+// set of exponentiations with no data dependencies between them. Running
+// each step as one batch turns its O(n) serial exponentiation latency into
+// O(n / cores) without touching the protocol: results are bit-identical to
+// the serial loop and every job still records exactly one Counter.Inc
+// under its own label, so the Table 2-4 accounting is preserved (Counter
+// is goroutine-safe).
 
 // batchWorkers overrides the pool width; 0 means runtime.GOMAXPROCS.
 var batchWorkers atomic.Int64
 
-// SetBatchWorkers sets the worker-pool width used by the ExpBatch family
-// and returns the previous setting. n <= 1 forces the serial path (the
-// parity tests run every scenario both ways); 0 restores the default of
+// SetBatchWorkers sets the worker-pool width used by ExpBatch and returns
+// the previous setting. n <= 1 forces the serial path (the parity tests
+// run every scenario both ways); 0 restores the default of
 // runtime.GOMAXPROCS workers.
 func SetBatchWorkers(n int) int {
 	return int(batchWorkers.Swap(int64(n)))
@@ -45,16 +46,32 @@ func BatchWorkers(n int) int {
 	return w
 }
 
-// expMany computes n independent exponentiations base(i)^exp(i) mod p,
-// fanning them across the worker pool (serially when the pool width is 1).
-// Each exponentiation counts once under label, exactly as a serial loop of
-// g.Exp calls would.
-func (g *Group) expMany(n int, base, exp func(i int) *big.Int, c *Counter, label string) []*big.Int {
-	out := make([]*big.Int, n)
-	w := BatchWorkers(n)
+// ExpJob is one exponentiation of a batch: Base^Exp mod p, counted once
+// under Label. A nil Base stands for the generator G and runs on the
+// fixed-base table, exactly as PowG does.
+type ExpJob struct {
+	Base  *big.Int
+	Exp   *big.Int
+	Label string
+}
+
+// ExpBatch computes every job, fanning them across the worker pool
+// (serially when the pool width is 1). Result i belongs to job i and is
+// bit-identical to g.Exp(Base, Exp, c, Label), or g.PowG(Exp, c, Label)
+// for a nil Base.
+func (g *Group) ExpBatch(jobs []ExpJob, c *Counter) []*big.Int {
+	out := make([]*big.Int, len(jobs))
+	run := func(i int) {
+		if j := jobs[i]; j.Base == nil {
+			out[i] = g.PowG(j.Exp, c, j.Label)
+		} else {
+			out[i] = g.Exp(j.Base, j.Exp, c, j.Label)
+		}
+	}
+	w := BatchWorkers(len(jobs))
 	if w <= 1 {
-		for i := 0; i < n; i++ {
-			out[i] = g.Exp(base(i), exp(i), c, label)
+		for i := range jobs {
+			run(i)
 		}
 		return out
 	}
@@ -64,61 +81,11 @@ func (g *Group) expMany(n int, base, exp func(i int) *big.Int, c *Counter, label
 	for k := 0; k < w; k++ {
 		go func() {
 			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				out[i] = g.Exp(base(i), exp(i), c, label)
+			for i := int(next.Add(1)) - 1; i < len(jobs); i = int(next.Add(1)) - 1 {
+				run(i)
 			}
 		}()
 	}
 	wg.Wait()
-	return out
-}
-
-// ExpBatch computes bases[name]^exp mod p for every entry — the Cliques
-// broadcast shape: one fresh share folded into each member's partial. One
-// Counter.Inc per entry under label.
-func (g *Group) ExpBatch(bases map[string]*big.Int, exp *big.Int, c *Counter, label string) map[string]*big.Int {
-	names := make([]string, 0, len(bases))
-	for name := range bases {
-		names = append(names, name)
-	}
-	vals := g.expMany(len(names),
-		func(i int) *big.Int { return bases[names[i]] },
-		func(int) *big.Int { return exp },
-		c, label)
-	out := make(map[string]*big.Int, len(names)+1)
-	for i, name := range names {
-		out[name] = vals[i]
-	}
-	return out
-}
-
-// ExpBatchSlice is ExpBatch for positional bases.
-func (g *Group) ExpBatchSlice(bases []*big.Int, exp *big.Int, c *Counter, label string) []*big.Int {
-	return g.expMany(len(bases),
-		func(i int) *big.Int { return bases[i] },
-		func(int) *big.Int { return exp },
-		c, label)
-}
-
-// ExpBatchExps computes base^exps[name] mod p for every entry — the CKD
-// key-distribution shape: one session key blinded under each member's
-// pairwise exponent. One Counter.Inc per entry under label.
-func (g *Group) ExpBatchExps(base *big.Int, exps map[string]*big.Int, c *Counter, label string) map[string]*big.Int {
-	names := make([]string, 0, len(exps))
-	for name := range exps {
-		names = append(names, name)
-	}
-	vals := g.expMany(len(names),
-		func(int) *big.Int { return base },
-		func(i int) *big.Int { return exps[names[i]] },
-		c, label)
-	out := make(map[string]*big.Int, len(names)+1)
-	for i, name := range names {
-		out[name] = vals[i]
-	}
 	return out
 }

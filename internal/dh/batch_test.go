@@ -3,6 +3,7 @@ package dh
 import (
 	"fmt"
 	"math/big"
+	"reflect"
 	"testing"
 )
 
@@ -17,94 +18,85 @@ func withWorkers(n int, f func()) {
 func TestExpBatchMatchesSerial(t *testing.T) {
 	g := Group512
 	exp := g.MustShare()
-	bases := make(map[string]*big.Int)
+	var jobs []ExpJob
 	for i := 0; i < 9; i++ {
-		bases[fmt.Sprintf("m%d", i)] = g.PowG(g.MustShare(), nil, "")
-	}
-
-	want := make(map[string]*big.Int, len(bases))
-	for name, b := range bases {
-		want[name] = new(big.Int).Exp(b, exp, g.P)
+		jobs = append(jobs, ExpJob{Base: g.PowG(g.MustShare(), nil, ""), Exp: exp, Label: OpKeyEncrypt})
 	}
 
 	for _, workers := range []int{1, 2, 8} {
-		workers := workers
 		t.Run(fmt.Sprintf("workers%d", workers), func(t *testing.T) {
 			withWorkers(workers, func() {
 				c := NewCounter()
-				got := g.ExpBatch(bases, exp, c, OpKeyEncrypt)
-				if len(got) != len(bases) {
-					t.Fatalf("got %d entries, want %d", len(got), len(bases))
+				got := g.ExpBatch(jobs, c)
+				if len(got) != len(jobs) {
+					t.Fatalf("got %d results, want %d", len(got), len(jobs))
 				}
-				for name := range bases {
-					if got[name].Cmp(want[name]) != 0 {
-						t.Errorf("entry %s differs from serial Exp", name)
+				for i, j := range jobs {
+					if want := new(big.Int).Exp(j.Base, j.Exp, g.P); got[i].Cmp(want) != 0 {
+						t.Errorf("job %d differs from serial Exp", i)
 					}
 				}
-				if c.Get(OpKeyEncrypt) != len(bases) || c.Total() != len(bases) {
+				if c.Get(OpKeyEncrypt) != len(jobs) || c.Total() != len(jobs) {
 					t.Errorf("counted %d under label, %d total; want %d of each",
-						c.Get(OpKeyEncrypt), c.Total(), len(bases))
+						c.Get(OpKeyEncrypt), c.Total(), len(jobs))
 				}
 			})
 		})
 	}
 }
 
-func TestExpBatchSliceMatchesSerial(t *testing.T) {
+// TestExpBatchMixedLabels runs the shape of a fused protocol step — jobs
+// with different bases, exponents and labels, including generator jobs —
+// serially and on eight workers: the results must be bit-identical and the
+// per-label counts identical. Run it under -race to exercise the pool.
+func TestExpBatchMixedLabels(t *testing.T) {
 	g := Group512
-	exp := g.MustShare()
-	var bases []*big.Int
+	share, x := g.MustShare(), g.MustShare()
+	var jobs []ExpJob
 	for i := 0; i < 7; i++ {
-		bases = append(bases, g.PowG(g.MustShare(), nil, ""))
+		jobs = append(jobs, ExpJob{Base: g.PowG(g.MustShare(), nil, ""), Exp: share, Label: OpKeyEncrypt})
 	}
+	for i := 0; i < 6; i++ {
+		jobs = append(jobs, ExpJob{Base: g.PowG(g.MustShare(), nil, ""), Exp: x, Label: OpLongTermKey})
+	}
+	jobs = append(jobs,
+		ExpJob{Exp: x, Label: OpShareRemove},
+		ExpJob{Base: g.PowG(g.MustShare(), nil, ""), Exp: share, Label: OpSessionKey})
+
 	var serial, parallel []*big.Int
 	c1, c2 := NewCounter(), NewCounter()
-	withWorkers(1, func() { serial = g.ExpBatchSlice(bases, exp, c1, OpShareUpdate) })
-	withWorkers(4, func() { parallel = g.ExpBatchSlice(bases, exp, c2, OpShareUpdate) })
-	for i := range bases {
+	withWorkers(1, func() { serial = g.ExpBatch(jobs, c1) })
+	withWorkers(8, func() { parallel = g.ExpBatch(jobs, c2) })
+	for i, j := range jobs {
 		if serial[i].Cmp(parallel[i]) != 0 {
-			t.Errorf("slice entry %d: serial != parallel", i)
+			t.Errorf("job %d: serial != parallel", i)
+		}
+		base := j.Base
+		if base == nil {
+			base = g.G
+		}
+		if want := new(big.Int).Exp(base, j.Exp, g.P); serial[i].Cmp(want) != 0 {
+			t.Errorf("job %d: differs from generic Exp", i)
 		}
 	}
-	if c1.Total() != c2.Total() || c1.Get(OpShareUpdate) != c2.Get(OpShareUpdate) {
-		t.Errorf("counter parity broken: serial %d, parallel %d", c1.Total(), c2.Total())
+	want := map[string]int{OpKeyEncrypt: 7, OpLongTermKey: 6, OpShareRemove: 1, OpSessionKey: 1}
+	if got := c1.Snapshot(); !reflect.DeepEqual(got, want) {
+		t.Errorf("serial counts %v, want %v", got, want)
 	}
-}
-
-func TestExpBatchExpsMatchesSerial(t *testing.T) {
-	g := Group512
-	base := g.PowG(g.MustShare(), nil, "")
-	exps := make(map[string]*big.Int)
-	for i := 0; i < 6; i++ {
-		exps[fmt.Sprintf("m%d", i)] = g.MustShare()
-	}
-	var serial, parallel map[string]*big.Int
-	c1, c2 := NewCounter(), NewCounter()
-	withWorkers(1, func() { serial = g.ExpBatchExps(base, exps, c1, OpKeyEncrypt) })
-	withWorkers(8, func() { parallel = g.ExpBatchExps(base, exps, c2, OpKeyEncrypt) })
-	for name := range exps {
-		if serial[name].Cmp(parallel[name]) != 0 {
-			t.Errorf("entry %s: serial != parallel", name)
-		}
-		if want := new(big.Int).Exp(base, exps[name], g.P); serial[name].Cmp(want) != 0 {
-			t.Errorf("entry %s: differs from generic Exp", name)
-		}
-	}
-	if c1.Total() != c2.Total() {
-		t.Errorf("counter parity broken: serial %d, parallel %d", c1.Total(), c2.Total())
+	if got := c2.Snapshot(); !reflect.DeepEqual(got, want) {
+		t.Errorf("parallel counts %v, want %v", got, want)
 	}
 }
 
 func TestExpBatchEmptyAndSingle(t *testing.T) {
 	g := Group512
 	exp := g.MustShare()
-	if got := g.ExpBatch(nil, exp, nil, ""); len(got) != 0 {
-		t.Fatalf("empty batch returned %d entries", len(got))
+	if got := g.ExpBatch(nil, nil); len(got) != 0 {
+		t.Fatalf("empty batch returned %d results", len(got))
 	}
-	one := map[string]*big.Int{"a": g.G}
-	got := g.ExpBatch(one, exp, nil, "")
-	if want := new(big.Int).Exp(g.G, exp, g.P); got["a"].Cmp(want) != 0 {
-		t.Fatalf("single-entry batch differs from Exp")
+	got := g.ExpBatch([]ExpJob{{Base: g.G, Exp: exp}}, nil)
+	if want := new(big.Int).Exp(g.G, exp, g.P); got[0].Cmp(want) != 0 {
+		t.Fatalf("single-job batch differs from Exp")
 	}
 }
 

@@ -1,6 +1,7 @@
 // Package auth holds the message-authentication helpers shared by the key
 // agreement modules: canonical byte encoding for MAC inputs, HMAC-SHA256
-// tagging, and pairwise long-term Diffie-Hellman key derivation.
+// tagging, and pairwise long-term Diffie-Hellman key derivation over a
+// memo of validated peer keys.
 package auth
 
 import (
@@ -10,25 +11,73 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/big"
+	"slices"
 	"sort"
 
 	"repro/internal/dh"
 	"repro/internal/kga"
 )
 
-// PairwiseKey derives the long-term pairwise key between the caller
-// (private exponent x) and the named peer, counting one exponentiation
-// under label. The result keys an HMAC.
-func PairwiseKey(g *dh.Group, x *big.Int, dir kga.Directory, peer string, c *dh.Counter, label string) ([]byte, error) {
-	pub, err := dir.PubKey(peer)
+// Peers resolves peers' long-term public keys through a directory and
+// validates each value once: CheckElement runs when a peer's key is first
+// seen or has changed, and a key equal to the peer's last validated one is
+// trusted as is. The memo is compared by value and pruned to the committed
+// membership, so it stays bounded and a changed key is always checked.
+// Peers is not safe for concurrent use; it lives inside one engine.
+type Peers struct {
+	g     *dh.Group
+	dir   kga.Directory
+	valid map[string]*big.Int
+}
+
+// NewPeers returns an empty memo over dir.
+func NewPeers(g *dh.Group, dir kga.Directory) *Peers {
+	return &Peers{g: g, dir: dir, valid: make(map[string]*big.Int)}
+}
+
+// pub returns peer's long-term public key, validated as a subgroup element.
+func (p *Peers) pub(peer string) (*big.Int, error) {
+	pub, err := p.dir.PubKey(peer)
 	if err != nil {
 		return nil, fmt.Errorf("pubkey of %s: %w", peer, err)
 	}
-	if err := g.CheckElement(pub); err != nil {
+	if v, ok := p.valid[peer]; ok && pub != nil && v.Cmp(pub) == 0 {
+		return pub, nil
+	}
+	if err := p.g.CheckElement(pub); err != nil {
 		return nil, fmt.Errorf("pubkey of %s: %w", peer, err)
 	}
-	k := g.Exp(pub, x, c, label)
-	return k.Bytes(), nil
+	p.valid[peer] = new(big.Int).Set(pub)
+	return pub, nil
+}
+
+// PairwiseJob is the batch job deriving the long-term pairwise key between
+// the caller (private exponent x) and peer, counted under label.
+func (p *Peers) PairwiseJob(peer string, x *big.Int, label string) (dh.ExpJob, error) {
+	pub, err := p.pub(peer)
+	if err != nil {
+		return dh.ExpJob{}, err
+	}
+	return dh.ExpJob{Base: pub, Exp: x, Label: label}, nil
+}
+
+// PairwiseKey computes one long-term pairwise key on its own, counting one
+// exponentiation under label.
+func (p *Peers) PairwiseKey(peer string, x *big.Int, c *dh.Counter, label string) (*big.Int, error) {
+	pub, err := p.pub(peer)
+	if err != nil {
+		return nil, err
+	}
+	return p.g.Exp(pub, x, c, label), nil
+}
+
+// Prune forgets every peer outside members.
+func (p *Peers) Prune(members []string) {
+	for peer := range p.valid {
+		if !slices.Contains(members, peer) {
+			delete(p.valid, peer)
+		}
+	}
 }
 
 // MACTag computes HMAC-SHA256 over parts under key.

@@ -81,6 +81,14 @@ func (n *Net) Add(name string) kga.Protocol {
 	return p
 }
 
+// SetPubKey replaces a member's directory entry, for tests of how engines
+// react to a peer's long-term key changing.
+func (n *Net) SetPubKey(name string, pub *big.Int) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	n.pubs[name] = pub
+}
+
 // Member returns a previously added member.
 func (n *Net) Member(name string) kga.Protocol {
 	n.tb.Helper()

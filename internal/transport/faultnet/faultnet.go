@@ -43,8 +43,8 @@ type Net struct {
 	crashed  map[string]bool
 	names    map[string]bool  // every endpoint ever attached
 	nodes    map[string]*node // live attached endpoints
-	dropPM   int             // drop probability out of 1e6
-	dupPM    int             // duplicate probability out of 1e6
+	dropPM   int              // drop probability out of 1e6
+	dupPM    int              // duplicate probability out of 1e6
 	latency  time.Duration
 	trace    []string
 	proxies  map[string]*relay // proxy mode only
