@@ -88,6 +88,57 @@ func TestExpBatchMixedLabels(t *testing.T) {
 	}
 }
 
+// TestExpBatchSliceMatchesSerial runs the many-bases/one-exponent shape
+// (a controller re-keying every partial key with one share) serially and
+// on four workers.
+func TestExpBatchSliceMatchesSerial(t *testing.T) {
+	g := Group512
+	exp := g.MustShare()
+	var jobs []ExpJob
+	for i := 0; i < 7; i++ {
+		jobs = append(jobs, ExpJob{Base: g.PowG(g.MustShare(), nil, ""), Exp: exp, Label: OpShareUpdate})
+	}
+	var serial, parallel []*big.Int
+	c1, c2 := NewCounter(), NewCounter()
+	withWorkers(1, func() { serial = g.ExpBatch(jobs, c1) })
+	withWorkers(4, func() { parallel = g.ExpBatch(jobs, c2) })
+	for i := range jobs {
+		if serial[i].Cmp(parallel[i]) != 0 {
+			t.Errorf("slice entry %d: serial != parallel", i)
+		}
+	}
+	if c1.Total() != c2.Total() || c1.Get(OpShareUpdate) != c2.Get(OpShareUpdate) {
+		t.Errorf("counter parity broken: serial %d, parallel %d", c1.Total(), c2.Total())
+	}
+}
+
+// TestExpBatchExpsMatchesSerial runs the one-base/many-exponents shape
+// (one key raised to each member's pairwise exponent) serially and on
+// eight workers.
+func TestExpBatchExpsMatchesSerial(t *testing.T) {
+	g := Group512
+	base := g.PowG(g.MustShare(), nil, "")
+	var jobs []ExpJob
+	for i := 0; i < 6; i++ {
+		jobs = append(jobs, ExpJob{Base: base, Exp: g.MustShare(), Label: OpKeyEncrypt})
+	}
+	var serial, parallel []*big.Int
+	c1, c2 := NewCounter(), NewCounter()
+	withWorkers(1, func() { serial = g.ExpBatch(jobs, c1) })
+	withWorkers(8, func() { parallel = g.ExpBatch(jobs, c2) })
+	for i, j := range jobs {
+		if serial[i].Cmp(parallel[i]) != 0 {
+			t.Errorf("entry %d: serial != parallel", i)
+		}
+		if want := new(big.Int).Exp(base, j.Exp, g.P); serial[i].Cmp(want) != 0 {
+			t.Errorf("entry %d: differs from generic Exp", i)
+		}
+	}
+	if c1.Total() != c2.Total() {
+		t.Errorf("counter parity broken: serial %d, parallel %d", c1.Total(), c2.Total())
+	}
+}
+
 func TestExpBatchEmptyAndSingle(t *testing.T) {
 	g := Group512
 	exp := g.MustShare()
