@@ -9,7 +9,7 @@ BULK_COUNT ?= 20000
 
 .PHONY: check fmt vet build test race chaos chaos-tcp chaos-tcp-short bench-exp \
 	bench-obs bench-rekey bench-report bench-diff bench-wire bench-wire-diff \
-	bench-bulk bench-bulk-diff obs-smoke mon-smoke crit-smoke
+	bench-bulk bench-bulk-diff bench-pair obs-smoke mon-smoke crit-smoke
 
 ## check: the full local gate — gofmt, vet, build, tests, the race suite on
 ## the packages with concurrency-sensitive fast paths, a short chaos schedule
@@ -117,6 +117,17 @@ bench-bulk-diff:
 	$(GO) run ./cmd/sgcbench -bulk -bulk-count $(BULK_COUNT) -bulk-out $$tmp >/dev/null && \
 	$(GO) run ./cmd/sgctrace diff BENCH_throughput.json $$tmp; \
 	st=$$?; rm -f $$tmp; exit $$st
+
+## bench-pair: N alternating pairs of end-to-end perfbench runs of workload
+## W, revision BASE (default HEAD: the parent of uncommitted changes)
+## against the working tree, summarized as per-metric medians, quartiles
+## and win counts. Not part of check: one pair takes about a minute.
+## Example: make bench-pair W=remote-small N=10 BASE=HEAD~1
+W ?= remote-small
+N ?= 10
+BASE ?= HEAD
+bench-pair:
+	./scripts/benchpair.sh $(BASE) $(W) $(N)
 
 ## crit-smoke: the causal-order gate — the happens-before checker's unit
 ## suite plus pinned chaos schedules replayed in-memory, with host clocks

@@ -97,7 +97,12 @@ type Daemon struct {
 	// groups need a departure announcement.
 	clientGroups map[string]map[string]bool
 
-	lastEcho time.Time
+	// announcedLTS is the clock this daemon last put on the wire to its
+	// view (periodic heartbeat, echo, or its own data broadcast); echoDue
+	// asks the event loop for a horizon echo once the current burst of
+	// events has been handled (see flushEcho).
+	announcedLTS uint64
+	echoDue      bool
 
 	// Submit-ring plumbing: clients push data payloads into their own
 	// bounded ring and ask (at most once per outstanding drain) for a
@@ -358,13 +363,17 @@ func (d *Daemon) run() {
 		case <-ticker.C:
 			d.tick()
 		}
+		if d.echoDue {
+			d.flushEcho()
+		}
 	}
 }
 
 func (d *Daemon) handleInbound(in inboundMsg, now time.Time) {
 	msg, ext, err := decodeWireExt(in.data)
 	if err != nil {
-		return // corrupt frame: drop
+		d.counters.droppedDecode.Inc() // corrupt frame
+		return
 	}
 	d.counters.countRecv(msg.Kind, len(in.data))
 	d.observeWireExt(in.from, msg.Kind, ext)
@@ -457,24 +466,7 @@ func (d *Daemon) tick() {
 	// Heartbeats go to every configured peer: within the view they
 	// advance the agreed-delivery horizon; outside they are the
 	// discovery mechanism for merges.
-	hb := &wireMsg{Kind: kindHeartbeat, HB: &hbMsg{
-		View:   d.view.ID,
-		LTS:    d.lts,
-		Stable: d.receiveHorizon(),
-		Seq:    d.seq,
-	}}
-	// Pooled encode: transports copy on Send, so the buffer recycles as
-	// soon as the fan-out loop finishes.
-	data, err := encodeWireExtTo(wirecodec.GetBuf(), hb, d.clockExt())
-	if err == nil {
-		for _, p := range d.peers {
-			if p != d.name {
-				d.counters.countSent(kindHeartbeat, len(data))
-				_ = d.node.Send(p, data)
-			}
-		}
-	}
-	wirecodec.PutBuf(data)
+	d.sendHeartbeat(d.peers)
 
 	// Failure detection: a silent view member triggers a membership
 	// change.
@@ -648,6 +640,7 @@ func (d *Daemon) broadcastData(p payload) {
 				_ = d.node.Send(member, enc)
 			}
 		}
+		d.announcedLTS = m.LTS
 		wirecodec.PutBuf(sealed)
 	}
 	wirecodec.PutBuf(inner)
@@ -680,44 +673,44 @@ func (d *Daemon) onData(m *dataMsg) {
 	d.deliverReady(m.Sender)
 	d.drainAgreed()
 	// Agreed-class delivery waits until every member's clock passes the
-	// message timestamp. Echo a heartbeat immediately (rate-limited) so
-	// idle members advance the horizon in one round trip rather than one
-	// heartbeat interval.
-	if m.ordered() && d.hasPendingOrdered() {
-		d.echoHeartbeat()
+	// message timestamp, so each agreed receipt asks for an echo of this
+	// daemon's clock: idle members then advance the horizon in one round
+	// trip rather than one heartbeat interval.
+	if m.ordered() {
+		d.echoDue = true
 	}
 }
 
-// hasPendingOrdered reports whether any agreed-class message is awaiting
-// the delivery horizon.
-func (d *Daemon) hasPendingOrdered() bool {
-	return d.agreed.len() > 0
+// flushEcho runs once per event-loop iteration that received agreed data:
+// it sends one out-of-schedule heartbeat to the view members covering the
+// whole burst, unless the clock it would carry has already been announced.
+func (d *Daemon) flushEcho() {
+	d.echoDue = false
+	if d.lts > d.announcedLTS {
+		d.sendHeartbeat(d.view.Members)
+	}
 }
 
-// echoHeartbeat sends an out-of-schedule heartbeat to the view members,
-// at most once per quarter heartbeat interval.
-func (d *Daemon) echoHeartbeat() {
-	now := time.Now()
-	if now.Sub(d.lastEcho) < d.cfg.Heartbeat/4 {
-		return
-	}
-	d.lastEcho = now
+// sendHeartbeat announces this daemon's clock, receive horizon and
+// sequence number to the listed daemons (self excluded).
+func (d *Daemon) sendHeartbeat(to []string) {
 	hb := &wireMsg{Kind: kindHeartbeat, HB: &hbMsg{
 		View:   d.view.ID,
 		LTS:    d.lts,
 		Stable: d.receiveHorizon(),
 		Seq:    d.seq,
 	}}
+	// Pooled encode: transports copy on Send, so the buffer recycles as
+	// soon as the fan-out loop finishes.
 	data, err := encodeWireExtTo(wirecodec.GetBuf(), hb, d.clockExt())
-	if err != nil {
-		wirecodec.PutBuf(data)
-		return
-	}
-	for _, member := range d.view.Members {
-		if member != d.name {
-			d.counters.countSent(kindHeartbeat, len(data))
-			_ = d.node.Send(member, data)
+	if err == nil {
+		for _, p := range to {
+			if p != d.name {
+				d.counters.countSent(kindHeartbeat, len(data))
+				_ = d.node.Send(p, data)
+			}
 		}
+		d.announcedLTS = d.lts
 	}
 	wirecodec.PutBuf(data)
 }

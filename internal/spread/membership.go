@@ -400,6 +400,7 @@ func (d *Daemon) installView(inst *installMsg) {
 	d.seq = 0
 	d.lts++ // view installation is an event on the clock
 	d.seenLTS = make(map[string]uint64)
+	d.announcedLTS = 0 // heartbeats from the old view no longer count
 	d.stable = make(map[string]uint64)
 	d.deliveredSeq = make(map[string]uint64)
 	d.resetDelivery()

@@ -365,10 +365,12 @@ func (d *Daemon) onSecData(from string, m *secMsg) {
 	}
 	plain, err := s.suite.Open(m.Frame)
 	if err != nil {
-		return // forged or corrupted: drop
+		d.counters.droppedUnseal.Inc() // forged or corrupted
+		return
 	}
 	inner, ext, err := decodeWireExt(plain)
 	if err != nil || inner.Kind != kindData {
+		d.counters.droppedDecode.Inc()
 		return
 	}
 	// The unsealed frame carries the original broadcast's causal stamp.

@@ -274,3 +274,57 @@ func TestStatsSnapshot(t *testing.T) {
 		t.Fatal("daemon key epoch zero with keying enabled")
 	}
 }
+
+// TestDroppedFramesCounted: a frame that fails to decode and a sealed data
+// frame that fails to open are dropped, and each drop is counted under
+// spread_frames_dropped with its reason instead of vanishing silently.
+func TestDroppedFramesCounted(t *testing.T) {
+	c := newSecCluster(t, 2)
+	d, peer := c.Daemons[0], c.Daemons[1].Name()
+
+	// The cluster is stable but its daemon-group key agreement may still
+	// be running; wait until this daemon holds a key for its view.
+	var view ViewID
+	var epoch uint64
+	for deadline := time.Now().Add(5 * time.Second); epoch == 0; {
+		if err := d.do(func() {
+			if d.sec.ready && d.sec.suite != nil {
+				view, epoch = d.view.ID, d.sec.key.Epoch
+			}
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if epoch == 0 && time.Now().After(deadline) {
+			t.Fatal("daemon never keyed its view")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	// Current view and key epoch, so the frame reaches Open; the sealed
+	// bytes are not under the daemon-group key.
+	forged, err := encodeWire(&wireMsg{Kind: kindSecData, Sec: &secMsg{
+		View:  view,
+		Epoch: epoch,
+		Frame: bytes.Repeat([]byte{0xab}, 64),
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.handleTransport(peer, []byte{0x00, 0x01, 0xff}) // preamble, then an unknown kind
+	d.handleTransport(peer, forged)
+
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		dec := counterValue(d, "spread_frames_dropped", "decode")
+		unseal := counterValue(d, "spread_frames_dropped", "unseal")
+		if dec == 1 && unseal == 1 {
+			break
+		}
+		if time.Now().After(deadline) || dec > 1 || unseal > 1 {
+			t.Fatalf("spread_frames_dropped: decode=%d unseal=%d, want 1 and 1", dec, unseal)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if v, ok := d.CurrentView(); !ok || v.ID != view {
+		t.Fatalf("view moved after dropped frames: %v -> %v", view, v.ID)
+	}
+}

@@ -38,6 +38,8 @@ type statsCounters struct {
 	msgsRecovered     *obs.Counter
 	msgsRetransmitted *obs.Counter
 	nacksSent         *obs.Counter
+	droppedDecode     *obs.Counter // inbound frames that failed to decode
+	droppedUnseal     *obs.Counter // sealed frames that failed to open
 	retainedGauge     *obs.Gauge
 	clientsGauge      *obs.Gauge
 
@@ -56,6 +58,8 @@ func newStatsCounters(reg *obs.Registry) statsCounters {
 		msgsRecovered:     reg.Counter("spread_msgs_recovered"),
 		msgsRetransmitted: reg.Counter("spread_msgs_retransmitted"),
 		nacksSent:         reg.Counter("spread_nacks_sent"),
+		droppedDecode:     reg.Counter(obs.LabelName("spread_frames_dropped", "decode")),
+		droppedUnseal:     reg.Counter(obs.LabelName("spread_frames_dropped", "unseal")),
 		retainedGauge:     reg.Gauge("spread_retained"),
 		clientsGauge:      reg.Gauge("spread_clients"),
 	}

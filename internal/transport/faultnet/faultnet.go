@@ -12,7 +12,7 @@
 //   - Proxy mode (NewTCPProxy, proxy.go): interposes a frame-aware
 //     localhost TCP relay on every link, so drops, partitions, and resets
 //     hit real sockets — the kernel's connection state, the transport's
-//     redial supervisor, and the coalescing write path all see the fault.
+//     redial supervisor, and the batched writev path all see the fault.
 //
 // Determinism: every link ("from|to" pair) owns a private splitmix64
 // stream seeded seed^fnv64(link), and each decision consumes a fixed number of

@@ -24,15 +24,14 @@ import (
 // Each outbound link is owned by a per-peer supervisor goroutine (see
 // tcpPeer): Send never dials and never blocks on the socket, it appends the
 // encoded frame to a bounded per-peer queue. The supervisor drains the
-// queue in coalesced writev batches, redials with exponential backoff and
-// jitter when the connection is down, bounds every dial and write with a
-// deadline, and reports link transitions to handlers implementing
-// PeerWatcher.
+// queue in writev batches as soon as it wakes, redials with exponential
+// backoff and jitter when the connection is down, bounds every dial and
+// write with a deadline, and reports link transitions to handlers
+// implementing PeerWatcher.
 type TCPNetwork struct {
 	mu     sync.Mutex
 	addrs  map[string]string // dial book: where peers reach an endpoint
 	listen map[string]string // listen overrides (see SetListenAddr)
-	delay  time.Duration     // small-frame coalescing deadline; <= 0 disables
 	tun    TCPTuning
 }
 
@@ -41,7 +40,7 @@ type TCPNetwork struct {
 type TCPTuning struct {
 	// DialTimeout bounds one dial attempt (default 2s).
 	DialTimeout time.Duration
-	// WriteTimeout bounds one coalesced write; an expired deadline drops
+	// WriteTimeout bounds one batch write; an expired deadline drops
 	// the connection (default 2s).
 	WriteTimeout time.Duration
 	// BackoffMin/BackoffMax bound the exponential redial backoff
@@ -95,18 +94,8 @@ func NewTCPNetwork(addrs map[string]string) *TCPNetwork {
 	return &TCPNetwork{
 		addrs:  book,
 		listen: make(map[string]string),
-		delay:  coalesceDelay,
 		tun:    TCPTuning{}.withDefaults(),
 	}
-}
-
-// SetCoalesceDelay adjusts the small-frame coalescing deadline for peers
-// created after the call; zero or negative flushes every batch immediately.
-// The default is coalesceDelay.
-func (t *TCPNetwork) SetCoalesceDelay(d time.Duration) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.delay = d
 }
 
 // SetTuning replaces the supervisor tuning for peers created after the
@@ -131,7 +120,7 @@ func (t *TCPNetwork) Attach(name string, h Handler) (Node, error) {
 	if !hasOverride {
 		laddr = t.addrs[name]
 	}
-	delay, tun := t.delay, t.tun
+	tun := t.tun
 	t.mu.Unlock()
 	if laddr == "" {
 		return nil, fmt.Errorf("transport: no address configured for %s", name)
@@ -160,7 +149,6 @@ func (t *TCPNetwork) Attach(name string, h Handler) (Node, error) {
 		name:     name,
 		handler:  h,
 		ln:       ln,
-		delay:    delay,
 		tun:      tun,
 		counters: newTCPCounters(reg),
 		peers:    make(map[string]*tcpPeer),
@@ -231,7 +219,6 @@ type tcpNode struct {
 	handler  Handler
 	watcher  PeerWatcher // nil unless the handler wants link events
 	ln       net.Listener
-	delay    time.Duration
 	tun      TCPTuning
 	counters tcpCounters
 
@@ -386,19 +373,9 @@ func (n *tcpNode) readLoop(conn net.Conn) {
 	}
 }
 
-const (
-	// coalesceFlush is the batch size beyond which the supervisor writes
-	// immediately instead of waiting the coalescing deadline; coalesceDelay
-	// bounds how long a lone small frame can wait, so a burst of small
-	// frames (heartbeat fan-out, data multicast) costs one writev, not one
-	// syscall per frame.
-	coalesceFlush = 4 << 10
-	coalesceDelay = 500 * time.Microsecond
-
-	// maxPooledFrame caps the encoded-frame buffers kept in the pool so a
-	// rare giant frame does not pin its allocation forever.
-	maxPooledFrame = 64 << 10
-)
+// maxPooledFrame caps the encoded-frame buffers kept in the pool so a rare
+// giant frame does not pin its allocation forever.
+const maxPooledFrame = 64 << 10
 
 // framePool recycles encoded-frame buffers between Send and the supervisor
 // write loop.
@@ -442,6 +419,7 @@ type tcpPeer struct {
 	up     bool // last state reported to the watcher
 
 	wake chan struct{}
+	bufs net.Buffers // supervisor-owned writev scratch, reused across batches
 }
 
 // enqueue appends one encoded frame, evicting the oldest frames when the
@@ -475,18 +453,12 @@ func (p *tcpPeer) enqueue(frame []byte) {
 }
 
 // take removes every queued frame.
-func (p *tcpPeer) take() ([][]byte, int) {
+func (p *tcpPeer) take() [][]byte {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	q, n := p.q, p.qBytes
+	q := p.q
 	p.q, p.qBytes = nil, 0
-	return q, n
-}
-
-func (p *tcpPeer) hasPending() bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.q) > 0
+	return q
 }
 
 func (p *tcpPeer) isClosed() bool {
@@ -577,7 +549,10 @@ func (p *tcpPeer) run() {
 }
 
 // drain writes queued frames until the queue is empty; false means the node
-// is closing and the supervisor must exit.
+// is closing and the supervisor must exit. Each batch is whatever queued
+// since the previous write: a lone frame goes out at once, and frames that
+// arrive while a writev is in flight ride the next one, so batches grow
+// with load without a timer.
 func (p *tcpPeer) drain() bool {
 	for {
 		select {
@@ -585,35 +560,25 @@ func (p *tcpPeer) drain() bool {
 			return false
 		default:
 		}
-		if p.isClosed() {
+		// One lock per batch: the closed flag, the connection and the
+		// queue are read together.
+		p.mu.Lock()
+		closed, c, batch := p.closed, p.conn, p.q
+		if !closed && c != nil {
+			p.q, p.qBytes = nil, 0
+		}
+		p.mu.Unlock()
+		if closed {
 			return false
 		}
-		if !p.hasPending() {
-			return true
-		}
-		c := p.current()
-		if c == nil {
-			c = p.redial()
-			if c == nil {
-				if p.isClosed() {
-					return false
-				}
-				continue // no address yet: queue discarded, park
-			}
-		}
-		batch, nbytes := p.take()
 		if len(batch) == 0 {
 			return true
 		}
-		// Small-batch coalescing: wait out the deadline for stragglers so
-		// a burst of small frames goes out in one writev.
-		if nbytes < coalesceFlush && p.node.delay > 0 {
-			if !p.pause(p.node.delay) {
-				recycleFrames(batch)
-				return false
-			}
-			more, _ := p.take()
-			batch = append(batch, more...)
+		if c == nil {
+			// Redial, then loop to take the queue with the new connection
+			// (a peer with no address has its queue discarded instead).
+			p.redial()
+			continue
 		}
 		err := p.write(c, batch)
 		recycleFrames(batch)
@@ -630,46 +595,40 @@ func (p *tcpPeer) drain() bool {
 	}
 }
 
-func (p *tcpPeer) current() net.Conn {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.conn
-}
-
-// write sends one coalesced batch with a write deadline.
+// write sends one batch with a write deadline; multi-frame batches go out
+// as one writev through the peer's reused net.Buffers scratch.
 func (p *tcpPeer) write(c net.Conn, batch [][]byte) error {
 	_ = c.SetWriteDeadline(time.Now().Add(p.tun.WriteTimeout))
 	if len(batch) == 1 {
 		_, err := c.Write(batch[0])
 		return err
 	}
-	bufs := make(net.Buffers, len(batch))
-	copy(bufs, batch)
+	p.bufs = append(p.bufs[:0], batch...)
+	bufs := p.bufs // WriteTo consumes its receiver
 	_, err := bufs.WriteTo(c)
+	clear(p.bufs)
 	return err
 }
 
 // redial dials the peer with exponential backoff until it succeeds or the
-// node closes. A peer with no configured address cannot be dialed: its
-// queue is discarded and nil is returned.
-func (p *tcpPeer) redial() net.Conn {
+// node closes, installing the new connection. A peer with no configured
+// address cannot be dialed: its queue is discarded instead.
+func (p *tcpPeer) redial() {
 	backoff := p.tun.BackoffMin
 	fails := 0
 	for {
 		select {
 		case <-p.node.done:
-			return nil
+			return
 		default:
 		}
 		if p.isClosed() {
-			return nil
+			return
 		}
 		addr := p.node.net.Addr(p.name)
 		if addr == "" {
-			for _, f := range p.take2() {
-				putFrame(f)
-			}
-			return nil
+			recycleFrames(p.take())
+			return
 		}
 		p.node.counters.dialAttempts.Inc()
 		raw, err := net.DialTimeout("tcp", addr, p.tun.DialTimeout)
@@ -678,12 +637,12 @@ func (p *tcpPeer) redial() net.Conn {
 			if p.closed {
 				p.mu.Unlock()
 				_ = raw.Close()
-				return nil
+				return
 			}
 			p.conn = raw
 			p.mu.Unlock()
 			p.notify(true)
-			return raw
+			return
 		}
 		p.node.counters.dialFailures.Inc()
 		fails++
@@ -691,15 +650,10 @@ func (p *tcpPeer) redial() net.Conn {
 			p.notify(false)
 		}
 		if !p.pause(p.jitter(backoff)) {
-			return nil
+			return
 		}
 		backoff = min(2*backoff, p.tun.BackoffMax)
 	}
-}
-
-func (p *tcpPeer) take2() [][]byte {
-	q, _ := p.take()
-	return q
 }
 
 func recycleFrames(batch [][]byte) {

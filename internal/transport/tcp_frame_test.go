@@ -46,7 +46,7 @@ func TestAppendFrameRejectsOversizedPayload(t *testing.T) {
 }
 
 // TestAppendFrameRoundTrip: frames appended back to back split correctly on
-// the read side (the invariant the coalescing writev path relies on).
+// the read side (the invariant the batched writev path relies on).
 func TestAppendFrameRoundTrip(t *testing.T) {
 	var wire []byte
 	var err error

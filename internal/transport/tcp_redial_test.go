@@ -27,7 +27,7 @@ func fastTuning() TCPTuning {
 
 // TestTCPRedialAfterAcceptSideRestart kills the accept side mid-stream and
 // asserts the supervisor re-dials: sends after the restart are delivered,
-// and every delivered frame is intact and in order (the coalescing batch
+// and every delivered frame is intact and in order (the supervisor batch
 // state is not corrupted by the write error).
 func TestTCPRedialAfterAcceptSideRestart(t *testing.T) {
 	leakCheck(t)

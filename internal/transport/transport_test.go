@@ -2,6 +2,7 @@ package transport
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -271,6 +272,52 @@ func TestTCPNetworkDelivery(t *testing.T) {
 		if got[i] != want {
 			t.Fatalf("position %d: got %s, want %s", i, got[i], want)
 		}
+	}
+}
+
+// TestTCPLoneFrameLatency pins event-driven batching on the TCP supervisor:
+// a frame sent while the link is idle goes out as soon as the supervisor
+// wakes, not after a coalescing timer. 200 frames are sent one at a time,
+// each after the previous one arrived, and the median Send-to-HandleMessage
+// time over loopback must stay under 250 µs.
+func TestTCPLoneFrameLatency(t *testing.T) {
+	leakCheck(t)
+	tn := NewTCPNetwork(map[string]string{
+		"a": "127.0.0.1:0",
+		"b": "127.0.0.1:0",
+	})
+	na, err := tn.Attach("a", HandlerFunc(func(string, []byte) {}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer na.Close()
+	got := make(chan time.Time, 1)
+	nb, err := tn.Attach("b", HandlerFunc(func(string, []byte) { got <- time.Now() }))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nb.Close()
+
+	// The first frame also pays for the dial; it is not measured.
+	const n = 200
+	lat := make([]time.Duration, 0, n)
+	for i := 0; i <= n; i++ {
+		sent := time.Now()
+		if err := na.Send("b", []byte("lone")); err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case at := <-got:
+			if i > 0 {
+				lat = append(lat, at.Sub(sent))
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("frame %d never arrived", i)
+		}
+	}
+	slices.Sort(lat)
+	if p50 := lat[n/2]; p50 >= 250*time.Microsecond {
+		t.Fatalf("lone-frame p50 = %v, want < 250µs (p10 %v, p90 %v)", p50, lat[n/10], lat[9*n/10])
 	}
 }
 
